@@ -218,6 +218,81 @@ void BM_SortedUnionMergeFallback(benchmark::State& state) {
 }
 BENCHMARK(BM_SortedUnionMergeFallback)->Arg(64)->Arg(1024)->Arg(16384);
 
+// --- Gather dedup: HL assembles each label by concatenating a vertex's
+// BFS neighbourhood with the labels of its upper-level hops, then sorting
+// and deduplicating the keys (vertex ids below n). SortUnique (std::sort +
+// unique) vs the bitmap walk BitmapSortUnique takes on dense inputs. Args
+// are {keys, distinct, range}: `distinct` ids uniform in [0, range), padded
+// with repeats to `keys` and shuffled. Shapes:
+//   {121, 70, 37747}   the mean cit-Patents gather (70,668 gathers, 8.54M
+//                      keys, 4.96M after dedup)
+//   {6, 4, 48438}      a p2p gather: a few keys spread over the whole range
+//   {k, k*3/5, 48438}  the sweep that places kBitmapMaxWordsPerKey
+// A pool of gathers is cycled so neither kernel sees one input repeatedly;
+// both pay the same per-iteration copy of the gather into the work vector.
+std::vector<std::vector<uint32_t>> GatherPool(const benchmark::State& state) {
+  const size_t keys = static_cast<size_t>(state.range(0));
+  const size_t distinct = static_cast<size_t>(state.range(1));
+  const uint32_t range = static_cast<uint32_t>(state.range(2));
+  Rng rng(7);
+  std::vector<std::vector<uint32_t>> pool(64);
+  for (auto& gather : pool) {
+    for (size_t i = 0; i < distinct; ++i) {
+      gather.push_back(static_cast<uint32_t>(rng.Uniform(range)));
+    }
+    while (gather.size() < keys) {
+      gather.push_back(gather[rng.Uniform(distinct)]);
+    }
+    for (size_t i = gather.size(); i > 1; --i) {
+      std::swap(gather[i - 1], gather[rng.Uniform(i)]);
+    }
+  }
+  return pool;
+}
+
+void GatherArgs(benchmark::internal::Benchmark* b) {
+  b->Args({121, 70, 37747})->Args({6, 4, 48438});
+  for (int64_t k : {2, 4, 8, 16, 24, 32, 40, 48, 64, 128}) {
+    b->Args({k, k * 3 / 5 + 1, 48438});
+  }
+}
+
+// Times `dedup(&work, &bits)` on the gathers of GatherPool, cycled.
+template <typename Dedup>
+void RunGatherDedup(benchmark::State& state, Dedup dedup) {
+  const auto pool = GatherPool(state);
+  std::vector<uint64_t> bits((static_cast<size_t>(state.range(2)) + 63) / 64);
+  std::vector<uint32_t> work;
+  size_t next = 0;
+  for (auto _ : state) {
+    work.assign(pool[next].begin(), pool[next].end());
+    next = (next + 1) % pool.size();
+    dedup(&work, &bits);
+    benchmark::DoNotOptimize(work.data());
+  }
+}
+
+void BM_GatherSortUnique(benchmark::State& state) {
+  RunGatherDedup(state, [](std::vector<uint32_t>* v, std::vector<uint64_t>*) {
+    SortUnique(v);
+  });
+}
+BENCHMARK(BM_GatherSortUnique)->Apply(GatherArgs);
+
+void BM_GatherBitmapWalk(benchmark::State& state) {
+  RunGatherDedup(state, [](std::vector<uint32_t>* v,
+                           std::vector<uint64_t>* bits) {
+    const auto [lo, hi] = std::minmax_element(v->begin(), v->end());
+    BitmapWalkSortUnique(v, bits->data(), *lo, *hi);
+  });
+}
+BENCHMARK(BM_GatherBitmapWalk)->Apply(GatherArgs);
+
+void BM_GatherBitmapSortUnique(benchmark::State& state) {
+  RunGatherDedup(state, BitmapSortUnique);
+}
+BENCHMARK(BM_GatherBitmapSortUnique)->Apply(GatherArgs);
+
 // The O(1) range rejection: two big labels whose key windows are disjoint
 // (exactly what DL's total-order keys produce on most negative queries).
 void BM_IntersectRangeReject(benchmark::State& state) {

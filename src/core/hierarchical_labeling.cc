@@ -31,20 +31,30 @@ size_t ScratchSlots(int threads, size_t work) {
       1, std::min<size_t>(static_cast<size_t>(std::max(threads, 1)), chunks));
 }
 
+/// An all-zero BitmapSortUnique scratch bitmap for vertex-id keys below `n`.
+/// Every label key HL assembles is a vertex id (the core labelers key by
+/// vertex id too), so one bit per vertex covers any gather.
+std::vector<uint64_t> DedupBitmap(size_t n) {
+  return std::vector<uint64_t>((n + 63) / 64);
+}
+
 // Formula 3: Lout(v) = N^{ceil(eps/2)}_out(v | Gh) (plus v itself), and
 // symmetrically for Lin. Complete only if the core diameter is <= eps.
 // Every member is labeled independently from the immutable core graph, so
-// the sweep is embarrassingly parallel; per-worker BoundedBfs scratch keeps
-// the traversals allocation-free.
+// the sweep is embarrassingly parallel; per-worker BoundedBfs and dedup
+// bitmap scratch keeps the traversals allocation-free.
 void LabelCoreByNeighborhood(const Digraph& core,
                              const std::vector<Vertex>& members,
                              uint32_t half_eps, int threads,
                              LabelStore* labeling) {
-  std::vector<BoundedBfs> bfs(ScratchSlots(threads, members.size()),
-                              BoundedBfs(core.num_vertices()));
+  const size_t slots = ScratchSlots(threads, members.size());
+  std::vector<BoundedBfs> bfs(slots, BoundedBfs(core.num_vertices()));
+  std::vector<std::vector<uint64_t>> dedup(slots,
+                                           DedupBitmap(core.num_vertices()));
   ParallelChunks(0, members.size(), kLabelGrain, threads,
                  [&](const ChunkInfo& chunk) {
                    BoundedBfs& worker_bfs = bfs[chunk.worker];
+                   std::vector<uint64_t>& bits = dedup[chunk.worker];
                    for (size_t i = chunk.begin; i < chunk.end; ++i) {
                      const Vertex v = members[i];
                      std::vector<uint32_t>* out = labeling->MutableOut(v);
@@ -53,14 +63,14 @@ void LabelCoreByNeighborhood(const Digraph& core,
                          core, v, half_eps, /*forward=*/true,
                          [](Vertex) { return false; },
                          [out](Vertex w, uint32_t) { out->push_back(w); });
-                     SortUnique(out);
+                     BitmapSortUnique(out, &bits);
                      std::vector<uint32_t>* in = labeling->MutableIn(v);
                      in->push_back(v);
                      worker_bfs.Run(
                          core, v, half_eps, /*forward=*/false,
                          [](Vertex) { return false; },
                          [in](Vertex w, uint32_t) { in->push_back(w); });
-                     SortUnique(in);
+                     BitmapSortUnique(in, &bits);
                    }
                  });
 }
@@ -151,12 +161,14 @@ Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
   // of upper-level vertices), but within one level every vertex is
   // independent: it reads only strictly-higher-level labels — complete and
   // immutable by now — and writes its own Lout/Lin slots. The per-level
-  // sweep therefore fans out across workers, each with private BFS/gather
-  // scratch, and the result is byte-identical for any thread count.
+  // sweep therefore fans out across workers, each with private BFS, gather
+  // and dedup-bitmap scratch, and the result is byte-identical for any
+  // thread count.
   // Per-worker scratch grows to the widest sweep actually run (never past
   // what any level's chunk count can engage).
   std::vector<BoundedBfs> bfs;
   std::vector<std::vector<uint32_t>> gathers;
+  std::vector<std::vector<uint64_t>> dedup;
   std::vector<Vertex> todo;
   for (size_t i = core; i-- > 0;) {
     if (budget_.max_seconds > 0 &&
@@ -171,10 +183,12 @@ Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
     const size_t slots = ScratchSlots(threads, todo.size());
     while (bfs.size() < slots) bfs.emplace_back(n);
     if (gathers.size() < slots) gathers.resize(slots);
+    while (dedup.size() < slots) dedup.push_back(DedupBitmap(n));
     ParallelChunks(
         0, todo.size(), kLabelGrain, threads, [&](const ChunkInfo& chunk) {
           BoundedBfs& worker_bfs = bfs[chunk.worker];
           std::vector<uint32_t>& gather = gathers[chunk.worker];
+          std::vector<uint64_t>& bits = dedup[chunk.worker];
           for (size_t t = chunk.begin; t < chunk.end; ++t) {
             const Vertex v = todo[t];
 
@@ -195,7 +209,7 @@ Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
                     gather.insert(gather.end(), upper.begin(), upper.end());
                   }
                 });
-            SortUnique(&gather);
+            BitmapSortUnique(&gather, &bits);
             *labeling_.MutableOut(v) = gather;
 
             // Lin(v), symmetrically.
@@ -214,7 +228,7 @@ Status HierarchicalLabelingOracle::BuildIndex(const Digraph& dag) {
                     gather.insert(gather.end(), upper.begin(), upper.end());
                   }
                 });
-            SortUnique(&gather);
+            BitmapSortUnique(&gather, &bits);
             *labeling_.MutableIn(v) = gather;
           }
         });

@@ -212,12 +212,6 @@ void LabelStore::Init(size_t num_vertices) {
   build_in_.assign(num_vertices, {});
 }
 
-void LabelStore::Canonicalize() {
-  assert(!sealed_);
-  for (auto& label : build_out_) SortUnique(&label);
-  for (auto& label : build_in_) SortUnique(&label);
-}
-
 void LabelStore::Seal() {
   if (sealed_) return;
   const size_t n = num_vertices_;

@@ -115,9 +115,6 @@ class LabelStore {
     SortedInsert(&build_in_[v], key);
   }
 
-  /// Sorts and deduplicates every label (for algorithms that bulk-append).
-  void Canonicalize();
-
   // --- Phase transitions. -------------------------------------------------
 
   /// Compacts both sides into contiguous offsets[] + keys[] arrays and

@@ -1,5 +1,9 @@
 #include "core/hierarchical_labeling.h"
 
+#include <span>
+#include <string>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "graph/generators.h"
 #include "tests/test_util.h"
@@ -119,6 +123,53 @@ TEST(HierarchicalLabelingTest, LowerLevelVerticesOnlyRecordUpperHops) {
     for (uint32_t hop : oracle.labeling().In(v)) {
       EXPECT_GE(h.LevelOf(hop), h.LevelOf(v))
           << "hop " << hop << " in Lin(" << v << ")";
+    }
+  }
+}
+
+bool StrictlyAscending(std::span<const uint32_t> label) {
+  for (size_t i = 1; i < label.size(); ++i) {
+    if (label[i - 1] >= label[i]) return false;
+  }
+  return true;
+}
+
+TEST(HierarchicalLabelingTest, SealedLabelsAreStrictlyAscending) {
+  // SortedIntersects needs every label sorted and duplicate-free. Label
+  // assembly dedups each gather through a bitmap walk or a comparison sort
+  // depending on how densely its keys fill their window, so the graphs mix
+  // dense gathers (citation hubs) with sparse ones (tree-like leaves), and
+  // the last case labels its whole (diameter-1) core by Formula 3.
+  struct Case {
+    std::string label;
+    Digraph graph;
+    HierarchicalOptions options;
+  };
+  HierarchicalOptions deep;
+  deep.hierarchy.core_size_threshold = 64;
+  HierarchicalOptions neighborhood_core;
+  neighborhood_core.core_labeler = CoreLabeler::kNeighborhood;
+  const std::vector<Case> cases = {
+      {"citation", CitationDag(6000, 4.0, 91), deep},
+      {"layered", LayeredDag(6000, 24, 3.0, 92), deep},
+      {"tree_like", TreeLikeDag(6000, 600, 93), deep},
+      {"dense_two_layer", DenseLayersDag(2, 300, 0.2, 94), neighborhood_core},
+  };
+  for (const auto& c : cases) {
+    for (const int threads : {1, 4}) {
+      HierarchicalLabelingOracle oracle(c.options);
+      BuildOptions build;
+      build.threads = threads;
+      ASSERT_TRUE(oracle.Build(c.graph, build).ok()) << c.label;
+      const LabelStore& labels = oracle.labeling();
+      for (Vertex v = 0; v < c.graph.num_vertices(); ++v) {
+        ASSERT_TRUE(StrictlyAscending(labels.Out(v)))
+            << c.label << " threads=" << threads << " Lout(" << v << ")";
+        ASSERT_TRUE(StrictlyAscending(labels.In(v)))
+            << c.label << " threads=" << threads << " Lin(" << v << ")";
+      }
+      EXPECT_TRUE(testing_util::OracleMatchesSampled(oracle, c.graph, 400, 95))
+          << c.label << " threads=" << threads;
     }
   }
 }

@@ -86,15 +86,6 @@ TEST(LabelStoreTest, AppendPattern) {
   EXPECT_TRUE(l.Query(0, 1));
 }
 
-TEST(LabelStoreTest, CanonicalizeSortsBulkAppends) {
-  LabelStore l(1);
-  l.MutableOut(0)->assign({9, 1, 9, 4});
-  l.MutableIn(0)->assign({3, 3});
-  l.Canonicalize();
-  EXPECT_EQ(ToVec(l.Out(0)), (std::vector<uint32_t>{1, 4, 9}));
-  EXPECT_EQ(ToVec(l.In(0)), (std::vector<uint32_t>{3}));
-}
-
 TEST(LabelStoreTest, SizeAccounting) {
   LabelStore l(3);
   l.InsertOut(0, 1);

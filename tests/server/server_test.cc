@@ -479,7 +479,12 @@ TEST(ReachServerTest, MmapLoadedServerServesAndSurvivesReloadRace) {
     threads.emplace_back([&, c] {
       Client client;
       if (!client.Connect("127.0.0.1", reach_server.port()).ok()) return;
-      for (int round = 0; round < kRounds; ++round) {
+      // Keep the load on until the reloader has landed (or failed) a
+      // RELOAD: on a busy host the batches can otherwise all finish before
+      // the reloader thread is first scheduled, and no swap races a batch.
+      for (int round = 0; round < kRounds || (reloads_ok.load() == 0 &&
+                                              reloads_bad.load() == 0);
+           ++round) {
         const auto answers = client.Batch(queries[c]);
         if (!answers.ok() || *answers != expected[c]) return;
       }

@@ -138,10 +138,57 @@ TEST(SortedOpsTest, SortUnique) {
   EXPECT_EQ(v, (std::vector<uint32_t>{1, 3, 5}));
 }
 
-TEST(SortedOpsTest, Intersection) {
-  std::vector<uint32_t> out;
-  SortedIntersection(V({1, 2, 3, 8}), V({2, 3, 9}), &out);
-  EXPECT_EQ(out, (std::vector<uint32_t>{2, 3}));
+bool AllZero(const std::vector<uint64_t>& bits) {
+  for (const uint64_t word : bits) {
+    if (word != 0) return false;
+  }
+  return true;
+}
+
+TEST(SortedOpsTest, BitmapSortUniqueEdgeCases) {
+  const uint32_t n = 1000;
+  std::vector<uint64_t> bits((n + 63) / 64);
+  const auto check = [&bits](std::vector<uint32_t> keys) {
+    std::vector<uint32_t> expected = keys;
+    SortUnique(&expected);
+    BitmapSortUnique(&keys, &bits);
+    EXPECT_EQ(keys, expected);
+    EXPECT_TRUE(AllZero(bits));
+  };
+  check({});
+  check({7});
+  check({0});
+  check({n - 1});
+  check({5, 5, 5, 5, 5});
+  // Word boundaries: bit 63 ends word 0, bit 64 starts word 1.
+  check({64, 63, 0, n - 1, 63, 64, 0});
+  check({n - 1, 0});
+}
+
+TEST(SortedOpsTest, RandomizedBitmapSortUniqueAgainstSortUnique) {
+  // Key windows from one word to the whole range, so both the bitmap walk
+  // and the sparse-input SortUnique fallback run (kBitmapMaxWordsPerKey).
+  const uint32_t n = 100000;
+  std::vector<uint64_t> bits((n + 63) / 64);
+  Rng rng(1002);
+  for (int round = 0; round < 2000; ++round) {
+    const uint32_t window = 1 + static_cast<uint32_t>(rng.Uniform(
+                                    round % 2 == 0 ? 256 : n));
+    const uint32_t base = static_cast<uint32_t>(rng.Uniform(n - window + 1));
+    std::vector<uint32_t> keys;
+    for (size_t i = rng.Uniform(300); i > 0; --i) {
+      keys.push_back(base + static_cast<uint32_t>(rng.Uniform(window)));
+    }
+    // Repeats, as in a gather of overlapping labels.
+    for (size_t i = keys.empty() ? 0 : rng.Uniform(keys.size()); i > 0; --i) {
+      keys.push_back(keys[rng.Uniform(keys.size())]);
+    }
+    std::vector<uint32_t> expected = keys;
+    SortUnique(&expected);
+    BitmapSortUnique(&keys, &bits);
+    ASSERT_EQ(keys, expected) << "round " << round;
+    ASSERT_TRUE(AllZero(bits)) << "round " << round;
+  }
 }
 
 TEST(SortedOpsTest, RandomizedIntersectsAgainstStdSet) {
