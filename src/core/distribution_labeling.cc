@@ -7,6 +7,7 @@
 #include "graph/level_bfs.h"
 #include "graph/topology.h"
 #include "util/rng.h"
+#include "util/sorted_ops.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -78,21 +79,23 @@ void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
 
   // The outer hop loop is inherently sequential (each hop's pruning depends
   // on all earlier hops' labels); parallelism lives inside each traversal,
-  // where the level-synchronous BFS evaluates the pruning intersections of
-  // one frontier concurrently and merges deterministically (level_bfs.h).
+  // where the level-synchronous BFS evaluates one level's pruning
+  // intersections concurrently and admits in discovery order (level_bfs.h).
   for (const Vertex hop : order) {
     const uint32_t key = key_of[hop];
     // --- Reverse BFS: add `hop` to Lout of TC^-1(hop) \ TC^-1(X). ---
     // A visited u is pruned when Lout(u) already intersects Lin(hop): some
     // higher-order hop certifies u -> hop, so u (and everything above it)
-    // is already covered (Algorithm 2, Lines 4-5). The source is admitted
-    // unpruned: in a DAG Lout(hop) and Lin(hop) cannot intersect yet (that
-    // would certify a cycle through a higher-order hop).
+    // is already covered (Algorithm 2, Lines 4-5). Lin(hop) is the short
+    // side of the test, hence ProbeIntersects (util/sorted_ops.h) rather
+    // than the query kernel. The source is admitted unpruned: in a DAG
+    // Lout(hop) and Lin(hop) cannot intersect yet (that would certify a
+    // cycle through a higher-order hop).
     ++epoch;
     RunPrunedLevelBfs(
         g, hop, /*forward=*/false, threads, &mark, epoch,
         [&](Vertex u, uint32_t) {
-          return SortedIntersects(labeling->Out(u), labeling->In(hop));
+          return ProbeIntersects(labeling->Out(u), labeling->In(hop));
         },
         [&](Vertex u, uint32_t) { labeling->InsertOut(u, key); }, &scratch);
     // --- Forward BFS: add `hop` to Lin of TC(hop) \ TC(Y). ---
@@ -100,7 +103,7 @@ void DistributeLabels(const Digraph& g, const std::vector<Vertex>& order,
     RunPrunedLevelBfs(
         g, hop, /*forward=*/true, threads, &mark, epoch,
         [&](Vertex w, uint32_t) {
-          return SortedIntersects(labeling->In(w), labeling->Out(hop));
+          return ProbeIntersects(labeling->In(w), labeling->Out(hop));
         },
         [&](Vertex w, uint32_t) { labeling->InsertIn(w, key); }, &scratch);
   }
@@ -116,8 +119,8 @@ Status DistributionLabelingOracle::BuildIndex(const Digraph& dag) {
   for (Vertex v = 0; v < n; ++v) members[v] = v;
   order_ = ComputeDistributionOrder(dag, members, options_, build_threads());
 
-  // Hop keys are order positions: appends during distribution are then
-  // naturally ascending, and label vectors stay sorted with O(1) inserts.
+  // Hop keys are order positions: each admission's key exceeds every key
+  // already in the label, so SortedInsert appends it in O(1).
   std::vector<uint32_t> key_of(n, 0);
   for (uint32_t i = 0; i < order_.size(); ++i) key_of[order_[i]] = i;
 

@@ -44,9 +44,12 @@ struct DistributionOptions {
 /// core-graph labeler: runs Algorithm 2 on `g` over exactly the vertices in
 /// `order` (processed front to back), writing hop keys `key_of[v]` into
 /// `labeling` (which must be Init'ed and empty for all touched vertices).
-/// Keys must be injective over `order`; labels stay sorted via ordered
-/// insertion. Traversals never leave the `order` vertex set, because `g` is
-/// required to have edges only among those vertices.
+/// Keys must be injective over `order`; every admission is a sorted insert
+/// (SortedInsert), which is an O(1) append when keys ascend along `order`
+/// (the DL oracle's order-position keys) and a binary-search insert
+/// otherwise (Hierarchical Labeling's vertex-id core keys). Traversals
+/// never leave the `order` vertex set, because `g` is required to have
+/// edges only among those vertices.
 ///
 /// `threads` bounds the workers of the per-hop level-synchronous BFS
 /// (graph/level_bfs.h); the produced labeling is byte-identical for every

@@ -94,18 +94,9 @@ class LabelStore {
     return &build_in_[v];
   }
 
-  /// Appends a key that is known to be greater than every key already in
-  /// the label (Distribution Labeling's append pattern).
-  void AppendOut(Vertex v, uint32_t key) {
-    assert(!sealed_);
-    build_out_[v].push_back(key);
-  }
-  void AppendIn(Vertex v, uint32_t key) {
-    assert(!sealed_);
-    build_in_[v].push_back(key);
-  }
-
-  /// Inserts a key keeping the label sorted (used with vertex-id keys).
+  /// Inserts a key keeping the label sorted. A key above every stored key
+  /// (Distribution Labeling's order positions) is an O(1) append; others
+  /// (vertex-id keys) take a binary-search insert (SortedInsert).
   void InsertOut(Vertex v, uint32_t key) {
     assert(!sealed_);
     SortedInsert(&build_out_[v], key);

@@ -1,6 +1,11 @@
 #include "core/distribution_labeling.h"
 
+#include <cstdint>
+#include <sstream>
+#include <string>
+
 #include "gtest/gtest.h"
+#include "datasets/registry.h"
 #include "graph/generators.h"
 #include "graph/transitive_closure.h"
 #include "tests/test_util.h"
@@ -168,6 +173,48 @@ TEST(DistributionLabelingTest, OrderNamesAreStable) {
   EXPECT_EQ(
       DistributionOrderName(DistributionOrder::kReverseDegreeProduct),
       "reverse_degree_product");
+}
+
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(DistributionLabelingTest, SealedLabelBytesMatchGoldenDigest) {
+  // build_determinism_test pins thread-count invariance only; this pins the
+  // bytes themselves, so any change to the labels a DL build produces (an
+  // order tie-break, a prune test, a traversal change) fails here. Update
+  // the digests only for a deliberate change to the labeling.
+  struct Golden {
+    const char* graph;
+    uint64_t entries;
+    uint64_t fnv1a;
+  };
+  const Golden kGolden[] = {
+      {"p2p", 171592, 0xc206204394db415bULL},
+      {"arxiv", 2815177, 0xdb543223bd292aafULL},
+  };
+  for (const Golden& golden : kGolden) {
+    StatusOr<DatasetSpec> spec = FindDataset(golden.graph);
+    ASSERT_TRUE(spec.ok()) << golden.graph;
+    const Digraph g = MakeDataset(*spec);
+    for (const int threads : {1, 4}) {
+      DistributionLabelingOracle oracle;
+      BuildOptions options;
+      options.threads = threads;
+      ASSERT_TRUE(oracle.Build(g, options).ok()) << golden.graph;
+      std::ostringstream bytes;
+      ASSERT_TRUE(oracle.SaveIndex(bytes).ok()) << golden.graph;
+      EXPECT_EQ(oracle.IndexSizeIntegers(), golden.entries)
+          << golden.graph << " threads=" << threads;
+      EXPECT_EQ(Fnv1a(bytes.str()), golden.fnv1a)
+          << golden.graph << " threads=" << threads;
+    }
+  }
 }
 
 }  // namespace

@@ -79,10 +79,12 @@ TEST(LabelStoreTest, InsertKeepsSorted) {
 }
 
 TEST(LabelStoreTest, AppendPattern) {
+  // Ascending keys, as Distribution Labeling inserts them.
   LabelStore l(2);
-  l.AppendOut(0, 1);
-  l.AppendOut(0, 5);
-  l.AppendIn(1, 5);
+  l.InsertOut(0, 1);
+  l.InsertOut(0, 5);
+  l.InsertIn(1, 5);
+  EXPECT_EQ(ToVec(l.Out(0)), (std::vector<uint32_t>{1, 5}));
   EXPECT_TRUE(l.Query(0, 1));
 }
 

@@ -1,18 +1,11 @@
-// Direction-optimizing pruned level BFS (graph/level_bfs.h) vs the classic
-// sequential pruned BFS it must reproduce. The contract under test:
-//
-//   * per depth, the sets of marked / pruned / admitted vertices equal the
-//     classic loop's, for any thread count and for both edge directions;
-//   * the admission sequence is identical across thread counts (direction
-//     decisions read only thread-count-invariant aggregates);
-//   * dense graphs actually exercise the bottom-up path (asserted via the
-//     ascending-id admission order it produces on a dense level).
+// Pruned level BFS (graph/level_bfs.h) vs the classic sequential pruned
+// BFS it must reproduce. The contract under test: for any thread count and
+// for both edge directions, the marked set and the admission sequence
+// (vertex, depth, and order) equal the classic loop's.
 
 #include "graph/level_bfs.h"
 
-#include <algorithm>
 #include <cstdint>
-#include <map>
 #include <set>
 #include <vector>
 
@@ -29,9 +22,6 @@ struct Admission {
   uint32_t depth;
   bool operator==(const Admission& o) const {
     return v == o.v && depth == o.depth;
-  }
-  bool operator<(const Admission& o) const {
-    return depth != o.depth ? depth < o.depth : v < o.v;
   }
 };
 
@@ -87,13 +77,6 @@ TraversalResult RunLevelBfs(const Digraph& g, Vertex source, bool forward,
   return r;
 }
 
-std::map<uint32_t, std::set<Vertex>> ByDepth(
-    const std::vector<Admission>& admitted) {
-  std::map<uint32_t, std::set<Vertex>> out;
-  for (const auto& a : admitted) out[a.depth].insert(a.v);
-  return out;
-}
-
 template <typename PruneFn>
 void ExpectMatchesClassic(const Digraph& g, Vertex source, bool forward,
                           PruneFn&& prune, const char* label) {
@@ -101,16 +84,12 @@ void ExpectMatchesClassic(const Digraph& g, Vertex source, bool forward,
   const TraversalResult t1 = RunLevelBfs(g, source, forward, 1, prune);
   const TraversalResult t2 = RunLevelBfs(g, source, forward, 2, prune);
   const TraversalResult t8 = RunLevelBfs(g, source, forward, 8, prune);
-  // Set-per-depth equality with the classic loop (order within a depth is
-  // direction-dependent and deliberately not pinned).
-  EXPECT_EQ(ByDepth(t1.admitted), ByDepth(ref.admitted)) << label;
-  EXPECT_EQ(t1.marked, ref.marked) << label;
-  // Exact sequence equality across thread counts — the determinism the
-  // index builders rely on.
-  EXPECT_EQ(t2.admitted, t1.admitted) << label;
-  EXPECT_EQ(t8.admitted, t1.admitted) << label;
-  EXPECT_EQ(t2.marked, t1.marked) << label;
-  EXPECT_EQ(t8.marked, t1.marked) << label;
+  // Exact sequence equality with the classic loop at every thread count —
+  // the determinism the index builders rely on.
+  for (const TraversalResult* t : {&t1, &t2, &t8}) {
+    EXPECT_EQ(t->admitted, ref.admitted) << label;
+    EXPECT_EQ(t->marked, ref.marked) << label;
+  }
 }
 
 const auto kNoPrune = [](Vertex, uint32_t) { return false; };
@@ -130,37 +109,14 @@ TEST(LevelBfsTest, MatchesClassicOnSparseDags) {
   }
 }
 
-TEST(LevelBfsTest, MatchesClassicOnDenseGraphs) {
-  // Dense enough that middle levels flip to bottom-up (frontier degree sum
-  // dwarfs the unexplored remainder).
-  for (const uint64_t seed : {5u, 17u}) {
-    const Digraph g = RandomDag(600, 24000, seed);
-    ExpectMatchesClassic(g, 0, /*forward=*/true, kNoPrune, "dense fwd");
-    ExpectMatchesClassic(g, static_cast<Vertex>(g.num_vertices() - 1),
-                         /*forward=*/false, kNoPrune, "dense rev");
-    ExpectMatchesClassic(g, 1, /*forward=*/true, kPruneOddDeep,
-                         "dense fwd pruned");
-  }
-}
-
-TEST(LevelBfsTest, MatchesClassicOnCyclicGraphs) {
-  // The traversal itself has no DAG requirement (call sites condense SCCs
-  // first, but the kernel must not care).
-  const Digraph g = RandomDigraphWithCycles(300, 3000, 60, 11);
-  ExpectMatchesClassic(g, 0, /*forward=*/true, kNoPrune, "cyclic fwd");
-  ExpectMatchesClassic(g, 7, /*forward=*/false, kPruneOddDeep,
-                       "cyclic rev pruned");
-}
-
-TEST(LevelBfsTest, DenseLevelTakesBottomUpPath) {
-  // A two-level broadcast: source 0 points at every hub; hub h owns a
-  // *reversed* stripe of leaves (hub 1 the highest leaf ids, the last hub
-  // the lowest). At depth 2 the frontier degree sum equals the whole
-  // unexplored remainder, so the level must run bottom-up — observable
-  // because bottom-up admits in ascending vertex id while top-down would
-  // replay hub order, i.e. highest leaf stripe first.
-  const size_t kHubs = 16;
-  const size_t kLeaves = 512;
+/// A two-level broadcast: source 0 points at every hub; hub h owns a
+/// *reversed* stripe of leaves (hub 1 the highest leaf ids, the last hub the
+/// lowest), so discovery order at depth 2 is far from id order. The hub
+/// frontier is past kLevelBfsParallelCutoff, so depth 2 takes the parallel
+/// path when threads > 1.
+Digraph BroadcastGraph() {
+  const size_t kHubs = 2 * kLevelBfsParallelCutoff;
+  const size_t kLeaves = 4 * kHubs;
   const size_t kStripe = kLeaves / kHubs;
   GraphBuilder b(1 + kHubs + kLeaves);
   for (size_t h = 0; h < kHubs; ++h) {
@@ -171,21 +127,33 @@ TEST(LevelBfsTest, DenseLevelTakesBottomUpPath) {
                 static_cast<Vertex>(1 + kHubs + leaf));
     }
   }
-  const Digraph g = b.Build();
-  for (const int threads : {1, 4}) {
-    const TraversalResult r = RunLevelBfs(g, 0, /*forward=*/true, threads,
-                                          kNoPrune);
-    ASSERT_EQ(r.admitted.size(), g.num_vertices());
-    std::vector<Vertex> depth2;
-    for (const auto& a : r.admitted) {
-      if (a.depth == 2) depth2.push_back(a.v);
-    }
-    ASSERT_EQ(depth2.size(), kLeaves);
-    EXPECT_TRUE(std::is_sorted(depth2.begin(), depth2.end()))
-        << "depth-2 admissions not in ascending id order: the dense level "
-           "did not take the bottom-up path";
+  return b.Build();
+}
+
+TEST(LevelBfsTest, MatchesClassicOnDenseGraphs) {
+  // Dense enough that middle frontiers pass the parallel cutoff.
+  for (const uint64_t seed : {5u, 17u}) {
+    const Digraph g = RandomDag(600, 24000, seed);
+    ExpectMatchesClassic(g, 0, /*forward=*/true, kNoPrune, "dense fwd");
+    ExpectMatchesClassic(g, static_cast<Vertex>(g.num_vertices() - 1),
+                         /*forward=*/false, kNoPrune, "dense rev");
+    ExpectMatchesClassic(g, 1, /*forward=*/true, kPruneOddDeep,
+                         "dense fwd pruned");
   }
-  ExpectMatchesClassic(g, 0, /*forward=*/true, kNoPrune, "broadcast");
+  const Digraph broadcast = BroadcastGraph();
+  ExpectMatchesClassic(broadcast, 0, /*forward=*/true, kNoPrune,
+                       "broadcast");
+  ExpectMatchesClassic(broadcast, 0, /*forward=*/true, kPruneOddDeep,
+                       "broadcast pruned");
+}
+
+TEST(LevelBfsTest, MatchesClassicOnCyclicGraphs) {
+  // The traversal itself has no DAG requirement (call sites condense SCCs
+  // first, but the kernel must not care).
+  const Digraph g = RandomDigraphWithCycles(300, 3000, 60, 11);
+  ExpectMatchesClassic(g, 0, /*forward=*/true, kNoPrune, "cyclic fwd");
+  ExpectMatchesClassic(g, 7, /*forward=*/false, kPruneOddDeep,
+                       "cyclic rev pruned");
 }
 
 }  // namespace

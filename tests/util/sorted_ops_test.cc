@@ -1,5 +1,7 @@
 #include "util/sorted_ops.h"
 
+#include <algorithm>
+#include <iterator>
 #include <set>
 #include <vector>
 
@@ -81,6 +83,105 @@ TEST(SortedOpsTest, SortedInsertKeepsOrderAndUniqueness) {
   EXPECT_TRUE(SortedInsert(&v, 9));
   EXPECT_FALSE(SortedInsert(&v, 5));  // Duplicate.
   EXPECT_EQ(v, (std::vector<uint32_t>{1, 5, 9}));
+}
+
+TEST(SortedOpsTest, SortedInsertAppendFastPath) {
+  std::vector<uint32_t> v{2, 4};
+  // Above the back: appended.
+  EXPECT_TRUE(SortedInsert(&v, 7));
+  EXPECT_EQ(v, (std::vector<uint32_t>{2, 4, 7}));
+  // Equal to the back: a duplicate, not an append.
+  EXPECT_FALSE(SortedInsert(&v, 7));
+  EXPECT_EQ(v, (std::vector<uint32_t>{2, 4, 7}));
+  // Below the back: the binary-search path, including a duplicate there.
+  EXPECT_TRUE(SortedInsert(&v, 3));
+  EXPECT_FALSE(SortedInsert(&v, 2));
+  EXPECT_TRUE(SortedInsert(&v, 0));
+  EXPECT_EQ(v, (std::vector<uint32_t>{0, 2, 3, 4, 7}));
+  // Ascending keys from empty, as Distribution Labeling admits them.
+  std::vector<uint32_t> ascending;
+  for (uint32_t key = 0; key < 100; key += 3) {
+    EXPECT_TRUE(SortedInsert(&ascending, key));
+  }
+  EXPECT_EQ(ascending.size(), 34u);
+  EXPECT_TRUE(std::is_sorted(ascending.begin(), ascending.end()));
+}
+
+TEST(SortedOpsTest, BranchlessLowerBoundMatchesStd) {
+  const std::vector<uint32_t> v{1, 3, 3, 5, 8, 13, 21};
+  for (uint32_t len = 1; len <= v.size(); ++len) {
+    for (uint32_t x = 0; x <= 22; ++x) {
+      EXPECT_EQ(BranchlessLowerBound(v.data(), len, x),
+                std::lower_bound(v.data(), v.data() + len, x))
+          << "len " << len << " x " << x;
+    }
+  }
+}
+
+TEST(SortedOpsTest, ProbeIntersectsBasics) {
+  EXPECT_FALSE(ProbeIntersects(V({}), V({})));
+  EXPECT_FALSE(ProbeIntersects(V({}), V({1, 2})));
+  EXPECT_FALSE(ProbeIntersects(V({1, 2}), V({})));
+  EXPECT_TRUE(ProbeIntersects(V({4}), V({4})));
+  EXPECT_FALSE(ProbeIntersects(V({4}), V({5})));
+  EXPECT_FALSE(ProbeIntersects(V({1, 3, 5}), V({2, 4, 6})));
+  EXPECT_TRUE(ProbeIntersects(V({1, 3, 5}), V({5})));
+  EXPECT_TRUE(ProbeIntersects(V({0, 9}), V({0, 2, 4, 6, 8})));  // First.
+  EXPECT_TRUE(ProbeIntersects(V({3, 8}), V({0, 2, 4, 6, 8})));  // Last.
+  // A short-side key past the long side's end stops the scan.
+  EXPECT_FALSE(ProbeIntersects(V({1, 3, 100}), V({0, 2, 4, 6, 8})));
+}
+
+TEST(SortedOpsTest, RandomizedProbeIntersectsAgainstMerge) {
+  // Short:long ratios from 1:1 to 1:512 (the DL prune tests sit near 1:14)
+  // and every edge shape the kernel branches on: empty sides, singletons,
+  // disjoint windows, and a shared first or last key.
+  Rng rng(1003);
+  const size_t kRatios[] = {1, 2, 4, 8, 16, 32, 64, 128, 256, 512};
+  for (int round = 0; round < 2000; ++round) {
+    const size_t ratio = kRatios[round % 10];
+    const int shape = (round / 10) % 6;
+    const size_t na = shape == 0 ? rng.Uniform(2) : 1 + rng.Uniform(16);
+    const size_t nb = shape == 0 ? rng.Uniform(2) : na * ratio;
+    const uint32_t universe = static_cast<uint32_t>(4 * (na + nb) + 8);
+    std::set<uint32_t> sa;
+    std::set<uint32_t> sb;
+    for (size_t i = 0; i < na; ++i) sa.insert(rng.Uniform(universe));
+    for (size_t i = 0; i < nb; ++i) sb.insert(rng.Uniform(universe));
+    if (shape == 2 && !sa.empty()) {
+      // Disjoint windows: lift the long side above the short one.
+      const uint32_t lift = *sa.rbegin() + 1;
+      std::set<uint32_t> lifted;
+      for (const uint32_t x : sb) lifted.insert(x + lift);
+      sb.swap(lifted);
+    }
+    if (shape == 3 && !sa.empty() && !sb.empty()) {
+      // Shared first key.
+      const uint32_t first = std::min(*sa.begin(), *sb.begin());
+      sa.insert(first);
+      sb.insert(first);
+    }
+    if (shape == 4 && !sa.empty() && !sb.empty()) {
+      // Shared last key only: drop any other common key.
+      const uint32_t last = std::max(*sa.rbegin(), *sb.rbegin()) + 1;
+      for (auto it = sa.begin(); it != sa.end();) {
+        it = sb.count(*it) > 0 ? sa.erase(it) : std::next(it);
+      }
+      sa.insert(last);
+      sb.insert(last);
+    }
+    const std::vector<uint32_t> va(sa.begin(), sa.end());
+    const std::vector<uint32_t> vb(sb.begin(), sb.end());
+    const bool expected = MergeIntersects(va, vb);
+    ASSERT_EQ(ProbeIntersects(va, vb), expected) << "round " << round;
+    ASSERT_EQ(ProbeIntersects(vb, va), expected) << "round " << round;
+    if (shape == 2 && !va.empty() && !vb.empty()) {
+      ASSERT_FALSE(expected) << "round " << round;
+    }
+    if (shape == 3 || shape == 4) {
+      ASSERT_EQ(expected, !va.empty() && !vb.empty()) << "round " << round;
+    }
+  }
 }
 
 TEST(SortedOpsTest, UnionInto) {
