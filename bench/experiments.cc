@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <utility>
 
@@ -20,6 +19,7 @@
 #include "server/client.h"
 #include "server/server.h"
 #include "server/snapshot.h"
+#include "util/mapped_blob.h"
 #include "util/resource.h"
 #include "util/timer.h"
 
@@ -573,10 +573,11 @@ void RunPrefilter(const ExperimentSpec& spec, const BenchConfig& config,
 
 /// Cold-load path (load_quick): per (dataset, method) cell the oracle is
 /// built once in-process, saved as a server snapshot to a scratch file,
-/// and that file is then loaded twice into fresh indexes: once through the
-/// classic owned-read stream path (every label byte re-read into owned
-/// vectors) and once through the capability-picked mapped path
-/// (LoadIndexSnapshotFile; mmap where available). Each arm reports its
+/// and that file is then loaded twice into fresh indexes through the one
+/// loader, LoadIndexSnapshotBlob: once from an owned heap read
+/// (MappedBlob::OpenOwned: every byte read, every label key validated)
+/// and once from MappedBlob::Open's mmap (LoadIndexSnapshotFile; the heap
+/// read where mmap is unavailable). Each arm reports its
 /// load wall-ms as the cell value and the load's resident-set growth as
 /// "rss_kb=" in the note — the mapped arm's near-zero pair is the point:
 /// load cost drops to O(index pages touched). Before either arm is
@@ -710,7 +711,7 @@ void RunLoad(const ExperimentSpec& spec, const BenchConfig& config,
       }
       const std::vector<char> expected = answers_of(*built);
 
-      // Owned arm in its own scope so its vectors are gone (and their RSS
+      // Owned arm in its own scope so its heap blob is gone (and its RSS
       // mostly returned) before the mapped arm measures its growth.
       double owned_ms = 0;
       uint64_t owned_rss_kb = 0;
@@ -721,11 +722,11 @@ void RunLoad(const ExperimentSpec& spec, const BenchConfig& config,
         const uint64_t rss_before = CurrentRssKb();
         Timer timer;
         const auto owned_load = [&]() -> StatusOr<ReachabilityIndex> {
-          std::ifstream in(path, std::ios::binary);
-          if (!in) return Status::IOError("cannot open snapshot " + path);
-          REACH_RETURN_IF_ERROR(server::ReadSnapshotHeader(
-              in, method, graph.num_vertices(), graph.num_edges()));
-          return ReachabilityIndex::Load(graph, MakeOracle(method), in);
+          StatusOr<std::shared_ptr<const MappedBlob>> blob =
+              MappedBlob::OpenOwned(path);
+          if (!blob.ok()) return blob.status();
+          return server::LoadIndexSnapshotBlob(std::move(*blob), method,
+                                               graph, MakeOracle(method));
         };
         const StatusOr<ReachabilityIndex> owned = owned_load();
         owned_ms = timer.ElapsedMillis();
@@ -984,8 +985,8 @@ const std::vector<ExperimentSpec>& ExperimentRegistry() {
     load.title =
         "Load: cold snapshot load (ms), owned read vs mmap, xl tier";
     load.shape_note =
-        "the owned arm re-reads and re-validates every label byte into "
-        "owned vectors, so it scales with index bytes; the mapped arm "
+        "the owned arm reads every byte onto the heap and validates every "
+        "label key, so it scales with index bytes; the mapped arm "
         "validates offsets and touches nothing else, staying O(index "
         "pages touched) with ~0 rss_kb growth — >=10x faster than owned "
         "read on the largest instance";
@@ -1122,46 +1123,6 @@ void RunExperiment(const ExperimentSpec& spec, const BenchConfig& config,
       RunTable(spec, config, reporter, cache);
       return;
   }
-}
-
-int RunExperimentMain(const std::string& experiment_id, int argc,
-                      char** argv) {
-  const StatusOr<ExperimentSpec> spec = FindExperiment(experiment_id);
-  if (!spec.ok()) {
-    std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
-    return 2;
-  }
-  const StatusOr<BenchOverrides> overrides =
-      ParseArgs(argc, argv, /*allow_experiments=*/false);
-  if (!overrides.ok()) {
-    std::fprintf(stderr, "%s\n%s", overrides.status().message().c_str(),
-                 UsageString(/*allow_experiments=*/false).c_str());
-    return 2;
-  }
-  if (overrides->help) {
-    std::printf("%s: %s\n%s", experiment_id.c_str(), spec->title.c_str(),
-                UsageString(/*allow_experiments=*/false).c_str());
-    return 0;
-  }
-  const BenchConfig config = ApplyOverrides(DefaultConfigFor(*spec),
-                                            *overrides);
-  for (const std::string& dataset : config.datasets) {
-    if (!ExperimentCoversDataset(*spec, dataset)) {
-      std::fprintf(stderr,
-                   "dataset '%s' is not part of %s's tier; this run would "
-                   "measure nothing for it\n",
-                   dataset.c_str(), experiment_id.c_str());
-      return 2;
-    }
-  }
-  StatusOr<std::unique_ptr<Reporter>> reporter = MakeReporter(config);
-  if (!reporter.ok()) {
-    std::fprintf(stderr, "%s\n", reporter.status().ToString().c_str());
-    return 2;
-  }
-  RunExperiment(*spec, config, reporter->get());
-  (*reporter)->EndRun();
-  return 0;
 }
 
 }  // namespace bench

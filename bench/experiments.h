@@ -1,7 +1,7 @@
 // Declarative experiment registry: every table and figure of the paper's
 // Section 6 evaluation is one ExperimentSpec in a single table-of-tables.
-// The legacy per-table binaries and the bench_all driver are both thin
-// lookups into this registry, so an experiment is defined exactly once.
+// The bench_all driver selects from this registry (--experiments=), so an
+// experiment is defined exactly once.
 
 #ifndef REACH_BENCH_EXPERIMENTS_H_
 #define REACH_BENCH_EXPERIMENTS_H_
@@ -142,12 +142,6 @@ bool ExperimentCoversDataset(const ExperimentSpec& spec,
 /// single-experiment runs gain little from it.
 void RunExperiment(const ExperimentSpec& spec, const BenchConfig& config,
                    Reporter* reporter, RunCache* cache = nullptr);
-
-/// Shared main() for the legacy one-table binaries: parses flags with the
-/// experiment's defaults, builds the configured reporter, runs, returns the
-/// process exit code (2 on flag errors, with usage printed to stderr).
-int RunExperimentMain(const std::string& experiment_id, int argc,
-                      char** argv);
 
 }  // namespace bench
 }  // namespace reach

@@ -72,7 +72,6 @@ class DistributionLabelingOracle : public ReachabilityOracle {
 
  protected:
   Status BuildIndex(const Digraph& dag) override;
-  Status LoadIndex(const Digraph& dag, std::istream& in) override;
   Status LoadIndexMapped(const Digraph& dag, MappedRegion region) override;
 
  public:
@@ -82,10 +81,10 @@ class DistributionLabelingOracle : public ReachabilityOracle {
   }
 
   /// Snapshots: the whole query state is the sealed labeling blob. After
-  /// Load (as opposed to Build) order() is empty — it is construction
-  /// metadata, not query state. LoadMapped serves the blob in place.
+  /// LoadMapped (as opposed to Build) order() is empty — it is
+  /// construction metadata, not query state. The loaded store views the
+  /// snapshot blob in place.
   bool SupportsSnapshot() const override { return true; }
-  bool SupportsMappedSnapshot() const override { return true; }
   Status SaveIndex(std::ostream& out) const override {
     return labeling_.Write(out);
   }

@@ -79,10 +79,6 @@ bool PrefilterOracle::SupportsSnapshot() const {
   return inner_->SupportsSnapshot();
 }
 
-bool PrefilterOracle::SupportsMappedSnapshot() const {
-  return inner_->SupportsMappedSnapshot();
-}
-
 uint64_t PrefilterOracle::AuxIntegers() const {
   // Seven uint32 arrays of n entries, the support ids, and two uint64 mask
   // arrays counted as two integers per entry.
@@ -367,25 +363,14 @@ Status PrefilterOracle::SaveIndex(std::ostream& out) const {
   return inner_->SaveIndex(out);
 }
 
-Status PrefilterOracle::LoadIndex(const Digraph& dag, std::istream& in) {
+Status PrefilterOracle::LoadIndexMapped(const Digraph& dag,
+                                        MappedRegion region) {
   if (!inner_->SupportsSnapshot()) {
     return Status::NotSupported(name() + " does not support index snapshots");
   }
-  REACH_RETURN_IF_ERROR(LoadAux(dag, in));
-  // The wrapped oracle's own hardened reader consumes the rest of the
-  // stream and rejects trailing bytes.
-  return inner_->Load(dag, in);
-}
-
-Status PrefilterOracle::LoadIndexMapped(const Digraph& dag,
-                                        MappedRegion region) {
-  if (!inner_->SupportsMappedSnapshot()) {
-    return Status::NotSupported(name() +
-                                " does not support mapped index snapshots");
-  }
-  // The aux tables are parsed and deep-validated through the same
-  // stream reader the owned path uses (they are copied regardless — see
-  // LoadAux); only the wrapped labeling blob that follows is zero-copy.
+  // The aux tables are parsed and deep-validated through a stream view of
+  // the region (they are copied regardless — see LoadAux); only the
+  // wrapped labeling blob that follows is zero-copy.
   SpanIStream aux(region.bytes());
   REACH_RETURN_IF_ERROR(LoadAux(dag, aux));
   // LoadAux consumed the aux section plus its alignment pad, so the inner

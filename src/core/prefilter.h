@@ -63,7 +63,6 @@ class PrefilterOracle : public ReachabilityOracle {
   std::string name() const override;  // inner name + "+pf"
   bool ConcurrentQuerySafe() const override;
   bool SupportsSnapshot() const override;
-  bool SupportsMappedSnapshot() const override;
   Status SaveIndex(std::ostream& out) const override;
   uint64_t IndexSizeIntegers() const override;
   uint64_t IndexSizeBytes() const override;
@@ -106,7 +105,6 @@ class PrefilterOracle : public ReachabilityOracle {
 
  protected:
   Status BuildIndex(const Digraph& dag) override;
-  Status LoadIndex(const Digraph& dag, std::istream& in) override;
   Status LoadIndexMapped(const Digraph& dag, MappedRegion region) override;
   void AnnotateBuildStats(BuildStats& stats) const override;
 
@@ -132,9 +130,9 @@ class PrefilterOracle : public ReachabilityOracle {
   static_assert(sizeof(QueryRecord) == 64, "one cache line per vertex");
 
   void BuildAux(const Digraph& dag);
-  /// Shared LoadIndex/LoadIndexMapped front half: parses and validates the
-  /// aux section (header, arrays, alignment pad) from `in`, leaving the
-  /// stream positioned at the wrapped oracle's blob. The aux tables are
+  /// LoadIndexMapped's front half: parses and validates the aux section
+  /// (header, arrays, alignment pad) from `in`, leaving the stream
+  /// positioned at the wrapped oracle's blob. The aux tables are
   /// index-typed (they address arrays at query time), so they are always
   /// deep-validated and copied — only the wrapped labeling is zero-copy.
   Status LoadAux(const Digraph& dag, std::istream& in);

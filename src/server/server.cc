@@ -92,9 +92,9 @@ Status ReachServer::Start(const Digraph& graph,
   Timer load_timer;
   if (!options.load_index_path.empty()) {
     // Restart-without-rebuild: restore the saved index instead of paying
-    // construction again (mmap-backed when method and platform allow; see
-    // LoadIndexSnapshotFile's capability matrix). SCC condensation is
-    // recomputed only when the snapshot is not DAG-shaped.
+    // construction again (mmap-backed where the platform allows; see
+    // LoadIndexSnapshotFile). SCC condensation is recomputed only when the
+    // snapshot is not DAG-shaped.
     StatusOr<ReachabilityIndex> index = LoadIndexSnapshotFile(
         options.load_index_path, options.method, graph, std::move(oracle),
         &build_stats_, &loaded_mmap_);
@@ -373,8 +373,8 @@ Status ReachServer::ReloadFromSnapshot(const std::string& path) {
     oracle = std::make_unique<PrefilterOracle>(std::move(oracle));
   }
   // Strict validation before the swap: same method, same graph shape, and
-  // a label blob that passes the hardened reader (stream or mapped). Every
-  // failure below returns with the live index untouched.
+  // a label blob that passes the hardened reader. Every failure below
+  // returns with the live index untouched.
   Timer load_timer;
   bool mapped = false;
   StatusOr<ReachabilityIndex> next = LoadIndexSnapshotFile(

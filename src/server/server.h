@@ -123,8 +123,8 @@ class ReachServer {
   bool loaded_from_snapshot() const { return loaded_from_snapshot_; }
 
   /// True when the index Start published serves zero-copy from a file
-  /// mapping (LoadIndexSnapshotFile's capability matrix picked mmap).
-  /// False on the build path and on every fallback row.
+  /// mapping (LoadIndexSnapshotFile got an mmap). False on the build path
+  /// and on the heap-read fallback.
   bool loaded_mmap() const { return loaded_mmap_; }
 
   /// Live service counters (shared with every session).

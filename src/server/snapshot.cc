@@ -9,7 +9,6 @@
 #include <ostream>
 #include <utility>
 
-#include "util/mapped_blob.h"
 #include "util/span_stream.h"
 
 namespace reach {
@@ -129,40 +128,35 @@ Status SaveIndexSnapshot(const std::string& path, const std::string& method,
   return Status::OK();
 }
 
+StatusOr<ReachabilityIndex> LoadIndexSnapshotBlob(
+    std::shared_ptr<const MappedBlob> blob, const std::string& method,
+    const Digraph& graph, std::unique_ptr<ReachabilityOracle> oracle,
+    BuildStats* stats_out) {
+  if (oracle == nullptr) {
+    return Status::InvalidArgument("oracle must not be null");
+  }
+  // The framing is validated through a stream view of the blob, which
+  // doubles as the "never read past the mapping" guard: a header running
+  // off a truncated file fails the stream reads instead of faulting.
+  SpanIStream header(blob->bytes());
+  REACH_RETURN_IF_ERROR(ReadSnapshotHeader(header, method,
+                                           graph.num_vertices(),
+                                           graph.num_edges()));
+  MappedRegion region{std::move(blob), SnapshotHeaderBytes(method.size())};
+  return ReachabilityIndex::LoadMapped(graph, std::move(oracle),
+                                       std::move(region), stats_out);
+}
+
 StatusOr<ReachabilityIndex> LoadIndexSnapshotFile(
     const std::string& path, const std::string& method, const Digraph& graph,
     std::unique_ptr<ReachabilityOracle> oracle, BuildStats* stats_out,
     bool* mapped_out) {
   if (mapped_out != nullptr) *mapped_out = false;
-  if (oracle == nullptr) {
-    return Status::InvalidArgument("oracle must not be null");
-  }
-  if (!oracle->SupportsMappedSnapshot()) {
-    // Classic stream load: the oracle parses into owned vectors.
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      return Status::IOError("cannot open index snapshot " + path);
-    }
-    REACH_RETURN_IF_ERROR(ReadSnapshotHeader(in, method,
-                                             graph.num_vertices(),
-                                             graph.num_edges()));
-    return ReachabilityIndex::Load(graph, std::move(oracle), in, stats_out);
-  }
-  // Zero-copy path (or MappedBlob's aligned-heap read fallback where mmap
-  // is unavailable). The framing is validated through a stream view of the
-  // blob, which doubles as the "never read past the mapping" guard: a
-  // header running off a truncated file fails the stream reads instead of
-  // faulting.
   StatusOr<std::shared_ptr<const MappedBlob>> blob = MappedBlob::Open(path);
   if (!blob.ok()) return blob.status();
-  SpanIStream header((*blob)->bytes());
-  REACH_RETURN_IF_ERROR(ReadSnapshotHeader(header, method,
-                                           graph.num_vertices(),
-                                           graph.num_edges()));
   if (mapped_out != nullptr) *mapped_out = (*blob)->mapped();
-  MappedRegion region{*blob, SnapshotHeaderBytes(method.size())};
-  return ReachabilityIndex::LoadMapped(graph, std::move(oracle),
-                                       std::move(region), stats_out);
+  return LoadIndexSnapshotBlob(std::move(*blob), method, graph,
+                               std::move(oracle), stats_out);
 }
 
 }  // namespace server

@@ -29,6 +29,7 @@
 #include "core/oracle.h"
 #include "core/reachability.h"
 #include "graph/digraph.h"
+#include "util/mapped_blob.h"
 #include "util/status.h"
 
 namespace reach {
@@ -62,7 +63,8 @@ Status WriteSnapshotHeader(std::ostream& out, const std::string& method,
 /// Validates the untrusted snapshot framing against what the caller is
 /// about to serve: same method, same graph shape, all-zero pad. Leaves the
 /// stream positioned at the oracle payload. The oracle blob that follows
-/// revalidates itself (bounds, sortedness, trailing bytes).
+/// revalidates itself (bounds, offsets, trailing bytes; key values too on
+/// a heap blob).
 Status ReadSnapshotHeader(std::istream& in, const std::string& method,
                           uint64_t vertices, uint64_t edges);
 
@@ -77,23 +79,22 @@ Status SaveIndexSnapshot(const std::string& path, const std::string& method,
                          uint64_t vertices, uint64_t edges,
                          const ReachabilityOracle& oracle);
 
-/// Shared --load-index / RELOAD body: opens the snapshot at `path`,
-/// validates the framing against (method, graph), and returns a ready
-/// index. Serving mode is picked by capability, not configuration:
-///
-///   oracle supports mapped snapshots, mmap available  -> zero-copy mmap
-///   oracle supports mapped snapshots, no mmap         -> aligned heap blob
-///                                                        (MappedBlob's
-///                                                        read fallback;
-///                                                        still zero-parse)
-///   oracle without mapped support                     -> classic stream
-///                                                        load (owned
-///                                                        vectors)
-///
-/// `mapped_out`, when non-null, reports whether the served index is backed
-/// by an actual file mapping (false in both fallback rows). The index
-/// keeps its backing blob alive until the last reference drops, so a
-/// RELOAD can retire a mapping while in-flight queries finish on it.
+/// The one index load path: validates the framing of the snapshot held in
+/// `blob` against (method, graph) and serves the oracle payload in place
+/// (ReachabilityIndex::LoadMapped). An mmap'd blob gets the
+/// structure-only label validation, a heap blob (MappedBlob::OpenOwned, or
+/// Open's fallback) the deep per-key one (core/label_store.h). The index
+/// keeps `blob` alive until its last reference drops, so a RELOAD can
+/// retire a mapping while in-flight queries finish on it.
+StatusOr<ReachabilityIndex> LoadIndexSnapshotBlob(
+    std::shared_ptr<const MappedBlob> blob, const std::string& method,
+    const Digraph& graph, std::unique_ptr<ReachabilityOracle> oracle,
+    BuildStats* stats_out = nullptr);
+
+/// Shared --load-index / RELOAD body: MappedBlob::Open(path) (mmap, or
+/// the aligned heap read where mmap is unavailable) then
+/// LoadIndexSnapshotBlob. `mapped_out`, when non-null, reports whether the
+/// served index is backed by an actual file mapping.
 StatusOr<ReachabilityIndex> LoadIndexSnapshotFile(
     const std::string& path, const std::string& method, const Digraph& graph,
     std::unique_ptr<ReachabilityOracle> oracle,

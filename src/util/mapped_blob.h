@@ -3,17 +3,20 @@
 //
 // A MappedBlob owns one contiguous read-only byte region backed either by
 // mmap(2) of a whole file (the fast path: load cost is O(pages touched),
-// not O(file size)) or, on platforms without mmap, by a heap buffer filled
-// with one streaming read — callers never branch on which. The blob is
-// handed around as shared_ptr<const MappedBlob>; consumers that point into
-// the region (LabelStore's view mode) retain the shared_ptr, so the
-// mapping stays alive until the last reader drops its reference. That is
-// exactly the lifetime RELOAD needs: IndexSlot::Publish swaps the index
-// while in-flight queries finish on the old one, and the old mapping is
-// unmapped only when the last such query releases its index reference.
+// not O(file size)) or by memory the process owns, a "heap blob" (an
+// anonymous mapping where the platform has mmap, else an aligned heap
+// allocation) — filled with one streaming read (OpenOwned, or Open when
+// the file cannot be mapped) or written in process (CreateOwned:
+// LabelStore::Seal's RLSTORE3 bytes). Readers never branch on which. The blob is handed around as shared_ptr<const MappedBlob>;
+// consumers that point into the region (every sealed LabelStore) retain
+// the shared_ptr, so the mapping stays alive until the last reader drops
+// its reference. That is exactly the lifetime RELOAD needs:
+// IndexSlot::Publish swaps the index while in-flight queries finish on the
+// old one, and the old mapping is unmapped only when the last such query
+// releases its index reference.
 //
 // Alignment: both backings start at a 64-byte-aligned address (mmap is
-// page-aligned; the fallback uses an aligned heap allocation), so any
+// page-aligned; the heap fallback uses an aligned allocation), so any
 // format whose sections are 8-byte aligned *relative to the blob start*
 // can be reinterpreted in place as uint64_t/uint32_t arrays.
 //
@@ -27,6 +30,7 @@
 #define REACH_UTIL_MAPPED_BLOB_H_
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -42,8 +46,8 @@ class MappedBlob {
  public:
   /// Maps `path` read-only (advising MADV_RANDOM: label lookups touch
   /// pages in query order, not file order). Falls back to reading the
-  /// whole file into an aligned heap buffer when the platform lacks mmap
-  /// or the mapping fails; `mapped()` tells which backing was chosen.
+  /// whole file into a heap blob (CreateOwned) when the platform lacks
+  /// mmap or the mapping fails; `mapped()` tells which backing was chosen.
   /// An empty file yields an empty region (size() == 0), not an error.
   static StatusOr<std::shared_ptr<const MappedBlob>> Open(
       const std::string& path);
@@ -54,6 +58,17 @@ class MappedBlob {
   static StatusOr<std::shared_ptr<const MappedBlob>> OpenOwned(
       const std::string& path);
 
+  /// Allocates an owned region of `size` bytes (64-byte aligned; with
+  /// mmap, its pages are backed only once written), lets `fill` write
+  /// all of it, and only then hands it out read-only — the one allocation
+  /// path of every heap blob (OpenOwned's file read and LabelStore::Seal
+  /// both use it). `path` labels the blob ("" for bytes made in process).
+  /// A failing `fill` frees the region and its status is returned; an
+  /// allocation failure is ResourceExhausted.
+  static StatusOr<std::shared_ptr<const MappedBlob>> CreateOwned(
+      size_t size, std::string path,
+      const std::function<Status(std::span<std::byte>)>& fill);
+
   ~MappedBlob();
 
   MappedBlob(const MappedBlob&) = delete;
@@ -63,8 +78,8 @@ class MappedBlob {
   std::span<const std::byte> bytes() const { return {data_, size_}; }
   size_t size() const { return size_; }
 
-  /// True when the region is an mmap of the file (zero-copy), false when
-  /// it is a heap copy (fallback or OpenOwned).
+  /// True when the region is an mmap of the file (zero-copy), false for a
+  /// heap blob (fallback, OpenOwned or CreateOwned).
   bool mapped() const { return mapped_; }
 
   const std::string& path() const { return path_; }

@@ -10,6 +10,7 @@
 
 #include "graph/digraph.h"
 #include "gtest/gtest.h"
+#include "tests/test_util.h"
 #include "util/mapped_blob.h"
 #include "util/rng.h"
 
@@ -38,10 +39,11 @@ std::string Serialize(const LabelStore& l) {
   return ss.str();
 }
 
+/// Restores `bytes` through an owned heap blob — the deep-validating
+/// load every snapshot read onto the heap takes.
 StatusOr<LabelStore> Deserialize(const std::string& bytes) {
-  std::stringstream ss(bytes,
-                       std::ios::in | std::ios::out | std::ios::binary);
-  return LabelStore::Read(ss);
+  return LabelStore::FromMapped(
+      MappedRegion{testing_util::OwnedBlob(bytes), 0});
 }
 
 void Poke32(std::string* blob, size_t offset, uint32_t value) {
@@ -153,6 +155,49 @@ TEST(LabelStoreTest, WriteBytesIdenticalFromEitherPhase) {
   EXPECT_EQ(Serialize(build_phase), Serialize(sealed));
 }
 
+TEST(LabelStoreTest, SealedCopyOutlivesOriginal) {
+  // Copies share the sealed blob: destroying the original (heap-allocated
+  // so ASan flags any access to freed label bytes) must leave every copy
+  // answering, whichever way it was made.
+  auto original = std::make_unique<LabelStore>(SampleStore());
+  original->Seal();
+  const std::string bytes = Serialize(*original);
+  LabelStore copied(*original);
+  LabelStore assigned;
+  assigned = *original;
+  LabelStore temporary(*original);
+  LabelStore moved(std::move(temporary));
+  original.reset();
+  for (const LabelStore* store : {&copied, &assigned, &moved}) {
+    ASSERT_TRUE(store->sealed());
+    EXPECT_TRUE(*store == SampleStore());
+    EXPECT_TRUE(store->Query(0, 1));
+    EXPECT_FALSE(store->Query(1, 0));
+    EXPECT_EQ(Serialize(*store), bytes);
+  }
+}
+
+TEST(LabelStoreTest, UnsealingACopyLeavesOriginalUntouched) {
+  LabelStore original = SampleStore();
+  original.Seal();
+  const std::string bytes = Serialize(original);
+  LabelStore copy = original;
+  copy.Unseal();
+  copy.InsertOut(1, 0);
+  copy.InsertIn(2, 0);
+  EXPECT_TRUE(copy.Query(1, 2));
+  const LabelStore reference = SampleStore();
+  EXPECT_TRUE(original.sealed());
+  EXPECT_TRUE(original == reference);
+  for (Vertex u = 0; u < 3; ++u) {
+    for (Vertex v = 0; v < 3; ++v) {
+      EXPECT_EQ(original.Query(u, v), reference.Query(u, v))
+          << u << "->" << v;
+    }
+  }
+  EXPECT_EQ(Serialize(original), bytes);
+}
+
 TEST(LabelStoreTest, SerializationRoundTrip) {
   LabelStore l(5);
   l.InsertOut(0, 1);
@@ -236,8 +281,7 @@ TEST(LabelStoreReadTest, RejectsVertexCountBeyondIdSpace) {
   const Status status = Deserialize(blob).status();
   EXPECT_TRUE(status.IsCorruption());
   EXPECT_NE(status.message().find("uint32"), std::string::npos);
-  // The boundary case: n == 2^32 is unreachable by a uint32 loop counter
-  // (the reader would spin growing offsets until the stream ran dry), so
+  // The boundary case: n == 2^32 is unreachable by a uint32 vertex id, so
   // it must be rejected up front, not merely n > 2^32.
   Poke64(&blob, 8, uint64_t{1} << 32);
   EXPECT_TRUE(Deserialize(blob).status().IsCorruption());
@@ -245,7 +289,7 @@ TEST(LabelStoreReadTest, RejectsVertexCountBeyondIdSpace) {
 
 TEST(LabelStoreReadTest, RejectsImpossibleSideTotal) {
   // n = 3 admits at most 9 strictly-ascending keys < 3 per side; a forged
-  // total must fail before any allocation sized by it.
+  // total must fail before any size arithmetic uses it.
   std::string blob = Serialize(SampleStore());
   Poke64(&blob, 16, 12);
   const Status status = Deserialize(blob).status();
@@ -258,8 +302,8 @@ TEST(LabelStoreReadTest, RejectsOffsetExceedingDeclaredTotal) {
   Poke64(&blob, 40, 9);  // off_out[1] = 9; total_out says 3.
   Status status = Deserialize(blob).status();
   EXPECT_TRUE(status.IsCorruption());
-  EXPECT_NE(status.message().find("exceeds the declared total"),
-            std::string::npos);
+  // off_out becomes {0, 9, 1, 3}: the row past the total drops back.
+  EXPECT_NE(status.message().find("monotone"), std::string::npos);
 }
 
 TEST(LabelStoreReadTest, RejectsOffsetsEndingBelowDeclaredTotal) {
@@ -269,7 +313,8 @@ TEST(LabelStoreReadTest, RejectsOffsetsEndingBelowDeclaredTotal) {
   Poke64(&blob, 56, 1);
   Status status = Deserialize(blob).status();
   EXPECT_TRUE(status.IsCorruption());
-  EXPECT_NE(status.message().find("header declared"), std::string::npos);
+  EXPECT_NE(status.message().find("span the declared total"),
+            std::string::npos);
 }
 
 TEST(LabelStoreReadTest, RejectsNonMonotoneOffsets) {
@@ -324,7 +369,7 @@ TEST(LabelStoreReadTest, RejectsTrailingBytes) {
   blob.push_back('\0');
   Status status = Deserialize(blob).status();
   EXPECT_TRUE(status.IsCorruption());
-  EXPECT_NE(status.message().find("trailing"), std::string::npos);
+  EXPECT_NE(status.message().find("header implies"), std::string::npos);
 }
 
 // --- Mapped (zero-copy) backing. Same reference layout as above; every
@@ -361,13 +406,17 @@ StatusOr<LabelStore> MapDeserialize(const std::string& bytes,
 
 TEST(LabelStoreMappedTest, AnswersIdenticalToOwnedRead) {
   const std::string blob = Serialize(SampleStore());
-  auto owned = Deserialize(blob);
-  auto mapped = MapDeserialize(blob, "equiv");
+  const auto heap_blob = testing_util::OwnedBlob(blob);
+  const auto mapped_blob = MapBytes(blob, "equiv");
+  ASSERT_NE(heap_blob, nullptr);
+  ASSERT_NE(mapped_blob, nullptr);
+  EXPECT_FALSE(heap_blob->mapped());
+  EXPECT_TRUE(mapped_blob->mapped());
+  auto owned = LabelStore::FromMapped(MappedRegion{heap_blob, 0});
+  auto mapped = LabelStore::FromMapped(MappedRegion{mapped_blob, 0});
   ASSERT_TRUE(owned.ok()) << owned.status().ToString();
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_TRUE(mapped->sealed());
-  EXPECT_TRUE(mapped->mapped());
-  EXPECT_FALSE(owned->mapped());
   EXPECT_TRUE(*mapped == *owned);
   EXPECT_EQ(mapped->TotalEntries(), owned->TotalEntries());
   EXPECT_EQ(mapped->MemoryBytes(), owned->MemoryBytes());
@@ -382,30 +431,35 @@ TEST(LabelStoreMappedTest, AnswersIdenticalToOwnedRead) {
 
 TEST(LabelStoreMappedTest, RetainsBackingAfterCallerDropsBlob) {
   LabelStore store;
+  std::weak_ptr<const MappedBlob> watch;
   {
     auto blob = MapBytes(Serialize(SampleStore()), "keepalive");
     ASSERT_NE(blob, nullptr);
+    watch = blob;
     auto mapped = LabelStore::FromMapped(MappedRegion{blob, 0});
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     store = std::move(*mapped);
   }
   // The caller's shared_ptr is gone; the store's retained reference must
   // keep the mapping alive (the RELOAD lifetime contract in miniature).
-  EXPECT_TRUE(store.mapped());
+  EXPECT_EQ(watch.use_count(), 1);
   EXPECT_TRUE(store == SampleStore());
   EXPECT_TRUE(store.Query(0, 1));
   // Copies share the blob rather than duplicating the arrays.
   LabelStore copy = store;
-  EXPECT_TRUE(copy.mapped());
+  EXPECT_EQ(watch.use_count(), 2);
   EXPECT_TRUE(copy == store);
   EXPECT_TRUE(copy.Query(0, 1));
 }
 
 TEST(LabelStoreMappedTest, UnsealCopiesOutAndReleasesBlob) {
-  auto mapped = MapDeserialize(Serialize(SampleStore()), "unseal");
+  auto blob = MapBytes(Serialize(SampleStore()), "unseal");
+  ASSERT_NE(blob, nullptr);
+  const std::weak_ptr<const MappedBlob> watch = blob;
+  auto mapped = LabelStore::FromMapped(MappedRegion{std::move(blob), 0});
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   mapped->Unseal();
-  EXPECT_FALSE(mapped->mapped());
+  EXPECT_TRUE(watch.expired());
   EXPECT_FALSE(mapped->sealed());
   EXPECT_TRUE(*mapped == SampleStore());
   mapped->InsertOut(1, 0);
@@ -435,8 +489,8 @@ TEST(LabelStoreMappedTest, RejectsForeignEndianBlob) {
 TEST(LabelStoreMappedTest, RejectsTruncationAtEverySection) {
   const std::string blob = Serialize(SampleStore());
   ASSERT_EQ(blob.size(), 120u);
-  // Same section cuts as the stream test, plus off-by-one at the end.
-  // Every rejection must come from arithmetic on the region size, reached
+  // Same section cuts as RejectsTruncatedKeyData, plus off-by-one at the
+  // end. Every rejection must come from arithmetic on the region size, reached
   // without dereferencing past the shortened mapping.
   size_t tag = 0;
   for (const size_t cut : {8u, 20u, 50u, 66u, 78u, 90u, 114u, 119u}) {
@@ -491,6 +545,21 @@ TEST(LabelStoreMappedTest, RejectsBadOffsetsArrays) {
   status = MapDeserialize(nonzero_pad, "pad").status();
   EXPECT_TRUE(status.IsCorruption());
   EXPECT_NE(status.message().find("padding"), std::string::npos);
+}
+
+TEST(LabelStoreMappedTest, KeyValuesAreCheckedOnHeapBlobsOnly) {
+  // Key 7 with n = 3 in Lout(0): the heap load rejects it; an mmap load
+  // serves it, since it validates structure only (label_store.h says why
+  // that is memory-safe).
+  std::string blob = Serialize(SampleStore());
+  Poke32(&blob, 64, 7);
+  EXPECT_TRUE(Deserialize(blob).status().IsCorruption());
+  auto mapped_blob = MapBytes(blob, "key_range");
+  ASSERT_NE(mapped_blob, nullptr);
+  if (!mapped_blob->mapped()) GTEST_SKIP() << "no mmap on this platform";
+  auto mapped = LabelStore::FromMapped(MappedRegion{mapped_blob, 0});
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(ToVec(mapped->Out(0)), std::vector<uint32_t>{7});
 }
 
 TEST(LabelStoreMappedTest, MapLabelStoreForCrossChecksVertexCount) {

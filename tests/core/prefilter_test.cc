@@ -20,6 +20,7 @@
 #include "core/reachability.h"
 #include "graph/generators.h"
 #include "graph/topology.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace reach {
@@ -224,7 +225,8 @@ TEST(PrefilterSnapshotTest, RoundTripRestoresAuxArraysAndAnswers) {
   ASSERT_TRUE(built->SaveIndex(blob).ok());
 
   PrefilterOracle loaded(std::make_unique<DistributionLabelingOracle>());
-  ASSERT_TRUE(loaded.Load(g, blob).ok());
+  ASSERT_TRUE(
+      loaded.LoadMapped(g, {testing_util::OwnedBlob(blob.str()), 0}).ok());
   EXPECT_EQ(loaded.topo_positions(), built->topo_positions());
   EXPECT_EQ(loaded.tree_interval_in(), built->tree_interval_in());
   EXPECT_EQ(loaded.tree_interval_out(), built->tree_interval_out());
@@ -290,10 +292,8 @@ class PrefilterCorruptBlobTest : public ::testing::Test {
   size_t AuxEnd() const { return MasksOffset() + 2 * 8 * n_; }
 
   Status LoadBlob(const std::string& bytes) {
-    std::stringstream in(bytes,
-                         std::ios::in | std::ios::out | std::ios::binary);
     PrefilterOracle oracle(std::make_unique<DistributionLabelingOracle>());
-    return oracle.Load(graph_, in);
+    return oracle.LoadMapped(graph_, {testing_util::OwnedBlob(bytes), 0});
   }
 
   Digraph graph_;

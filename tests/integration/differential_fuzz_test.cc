@@ -21,6 +21,7 @@
 #include "graph/generators.h"
 #include "graph/topology.h"
 #include "query/workload.h"
+#include "tests/test_util.h"
 #include "util/mapped_blob.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -261,12 +262,13 @@ TEST_P(DifferentialFuzzTest, PrefilterWrappedMatchesBareOracle) {
   }
 }
 
-// The mapped (zero-copy) snapshot backing must be a pure storage change:
-// for every snapshot-capable oracle, the index loaded through LoadMapped
-// (labels served straight out of the mapped file bytes) answers the FULL
-// query matrix identically to both the freshly built oracle and its
-// owned-storage Load twin. This is the answer-identity leg of the mmap
-// load path; label_store_test pins the byte-level validation.
+// The snapshot's backing must be a pure storage change: for every
+// snapshot-capable oracle, the index loaded through LoadMapped from an
+// mmap'd file (labels served straight out of the mapped bytes) answers
+// the FULL query matrix identically to both the freshly built oracle and
+// its twin loaded from an owned heap blob (the deep-validated backing).
+// This is the answer-identity leg of the load path; label_store_test pins
+// the byte-level validation.
 TEST_P(DifferentialFuzzTest, MappedSnapshotMatchesOwnedAndBuiltAnswers) {
   const uint64_t seed = GetParam();
   const FuzzCase cases[] = {
@@ -290,16 +292,16 @@ TEST_P(DifferentialFuzzTest, MappedSnapshotMatchesOwnedAndBuiltAnswers) {
       std::unique_ptr<ReachabilityOracle> built = make(method);
       ASSERT_NE(built, nullptr) << method;
       ASSERT_TRUE(built->Build(g).ok()) << method << " seed " << seed;
-      ASSERT_TRUE(built->SupportsMappedSnapshot()) << method;
+      ASSERT_TRUE(built->SupportsSnapshot()) << method;
       std::stringstream snapshot(std::ios::in | std::ios::out |
                                  std::ios::binary);
       ASSERT_TRUE(built->SaveIndex(snapshot).ok()) << method;
       const std::string bytes = snapshot.str();
 
       std::unique_ptr<ReachabilityOracle> owned = make(method);
-      std::istringstream owned_in(bytes);
-      ASSERT_TRUE(owned->Load(g, owned_in).ok()) << method << " seed "
-                                                 << seed;
+      ASSERT_TRUE(
+          owned->LoadMapped(g, {testing_util::OwnedBlob(bytes), 0}).ok())
+          << method << " seed " << seed;
 
       const std::string path = ::testing::TempDir() + "/diff_fuzz." + method +
                                "." + std::to_string(seed) + "." +

@@ -14,6 +14,7 @@
 #include "graph/generators.h"
 #include "graph/topology.h"
 #include "query/workload.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace reach {
@@ -114,8 +115,9 @@ TEST(IntegrationTest, LabelingSerializationSurvivesReload) {
 
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   ASSERT_TRUE(oracle.labeling().Write(ss).ok());
-  auto reloaded = LabelStore::Read(ss);
-  ASSERT_TRUE(reloaded.ok());
+  auto reloaded = LabelStore::FromMapped(
+      MappedRegion{testing_util::OwnedBlob(ss.str()), 0});
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
 
   Rng rng(89);
   for (int i = 0; i < 2000; ++i) {
@@ -140,7 +142,9 @@ TEST(IntegrationTest, IndexSnapshotRoundTripsAcrossOracles) {
     ASSERT_TRUE(built->SaveIndex(ss).ok()) << name;
 
     auto loaded = MakeOracle(name);
-    ASSERT_TRUE(loaded->Load(g, ss).ok()) << name;
+    ASSERT_TRUE(
+        loaded->LoadMapped(g, {testing_util::OwnedBlob(ss.str()), 0}).ok())
+        << name;
     EXPECT_TRUE(loaded->build_stats().ok) << name;
     EXPECT_EQ(loaded->IndexSizeIntegers(), built->IndexSizeIntegers())
         << name;
@@ -183,7 +187,9 @@ TEST(IntegrationTest, DynamicOracleSnapshotAcceptsInsertsAfterLoad) {
       Digraph::FromEdges(g.num_vertices(), std::move(edges));
 
   DynamicDistributionLabeling loaded;
-  ASSERT_TRUE(loaded.Load(accumulated, ss).ok());
+  ASSERT_TRUE(
+      loaded.LoadMapped(accumulated, {testing_util::OwnedBlob(ss.str()), 0})
+          .ok());
   for (Vertex u = 0; u < g.num_vertices(); ++u) {
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
       ASSERT_EQ(loaded.Reachable(u, v), built.Reachable(u, v))
@@ -214,7 +220,8 @@ TEST(IntegrationTest, SnapshotLoadRejectsMismatchedGraph) {
 
   Digraph other = RandomDag(101, 250, 92);
   DistributionLabelingOracle loaded;
-  const Status status = loaded.Load(other, ss);
+  const Status status =
+      loaded.LoadMapped(other, {testing_util::OwnedBlob(ss.str()), 0});
   EXPECT_TRUE(status.IsCorruption()) << status.ToString();
   EXPECT_FALSE(loaded.build_stats().ok);
 }
@@ -229,8 +236,8 @@ TEST(IntegrationTest, SnapshotNotSupportedOracleSaysSo) {
 }
 
 TEST(IntegrationTest, FacadeLoadRestoresCyclicGraphIndex) {
-  // The server's restart path: ReachabilityIndex::Load recomputes only the
-  // condensation and restores the oracle from the snapshot stream.
+  // The server's restart path: ReachabilityIndex::LoadMapped recomputes
+  // only the condensation and restores the oracle from the snapshot bytes.
   Digraph g = RandomDigraphWithCycles(600, 1500, 250, 557);
   BuildStats build_stats;
   auto built = ReachabilityIndex::Build(g, MakeOracle("DL"), BuildOptions(),
@@ -240,8 +247,9 @@ TEST(IntegrationTest, FacadeLoadRestoresCyclicGraphIndex) {
   ASSERT_TRUE(built->oracle().SaveIndex(ss).ok());
 
   BuildStats load_stats;
-  auto loaded = ReachabilityIndex::Load(g, MakeOracle("DL"), ss,
-                                        &load_stats);
+  auto loaded = ReachabilityIndex::LoadMapped(
+      g, MakeOracle("DL"), {testing_util::OwnedBlob(ss.str()), 0},
+      &load_stats);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(load_stats.ok);
   EXPECT_EQ(load_stats.index_integers, build_stats.index_integers);

@@ -123,12 +123,12 @@ TEST_F(SaveIndexSnapshotTest, PublishesALoadableSnapshotWithNoTmpLeftover) {
   ASSERT_TRUE(FileExists(path_));
   EXPECT_FALSE(FileExists(path_ + ".tmp"));
 
-  // The published file is a complete, loadable snapshot.
-  std::ifstream in(path_, std::ios::binary);
-  ASSERT_TRUE(ReadSnapshotHeader(in, "DL", graph_.num_vertices(),
-                                 graph_.num_edges())
-                  .ok());
-  auto restored = ReachabilityIndex::Load(graph_, MakeOracle("DL"), in);
+  // The published file is a complete, loadable snapshot — read onto the
+  // heap here, so every label key is validated too.
+  auto blob = MappedBlob::OpenOwned(path_);
+  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+  auto restored =
+      LoadIndexSnapshotBlob(std::move(*blob), "DL", graph_, MakeOracle("DL"));
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   for (Vertex u = 0; u < 60; ++u) {
     for (Vertex v = 0; v < 60; v += 7) {

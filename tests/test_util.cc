@@ -1,5 +1,6 @@
 #include "tests/test_util.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "graph/topology.h"
@@ -94,6 +95,17 @@ std::vector<GraphCase> MediumPropertyGraphs() {
   cases.push_back({"layered_1800", LayeredDag(1800, 20, 2.0, 24)});
   cases.push_back({"star_2500", StarForestDag(2500, 25)});
   return cases;
+}
+
+std::shared_ptr<const MappedBlob> OwnedBlob(const std::string& bytes) {
+  StatusOr<std::shared_ptr<const MappedBlob>> blob = MappedBlob::CreateOwned(
+      bytes.size(), "", [&bytes](std::span<std::byte> out) {
+        std::copy(bytes.begin(), bytes.end(),
+                  reinterpret_cast<char*>(out.data()));
+        return Status::OK();
+      });
+  EXPECT_TRUE(blob.ok()) << blob.status().ToString();
+  return blob.ok() ? *blob : nullptr;
 }
 
 }  // namespace testing_util

@@ -5,6 +5,7 @@
 #ifndef REACH_TESTS_TEST_UTIL_H_
 #define REACH_TESTS_TEST_UTIL_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "graph/digraph.h"
 #include "graph/generators.h"
 #include "graph/transitive_closure.h"
+#include "util/mapped_blob.h"
 
 namespace reach {
 namespace testing_util {
@@ -64,6 +66,11 @@ std::vector<GraphCase> SmallPropertyGraphs();
 
 /// Medium graphs (n ~ 1-3k) for sampled checks.
 std::vector<GraphCase> MediumPropertyGraphs();
+
+/// `bytes` (e.g. a SaveIndex or LabelStore::Write stream) as an owned heap
+/// MappedBlob, the in-memory twin of MappedBlob::OpenOwned: what a
+/// snapshot read from disk hands to LoadMapped/FromMapped.
+std::shared_ptr<const MappedBlob> OwnedBlob(const std::string& bytes);
 
 }  // namespace testing_util
 }  // namespace reach
